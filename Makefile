@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test race cover fuzz conformance serve-smoke cluster-smoke online-smoke bench bench-serve
+.PHONY: check build vet lint test race cover fuzz conformance serve-smoke cluster-smoke online-smoke
 
 check: build vet lint test race cover
 
@@ -24,14 +24,16 @@ test:
 	$(GO) test ./...
 
 # Race pass over every package that runs goroutines: the serving stack, the
-# inference substrate it shares models with, and the simulation/workload/
-# experiment layers. The experiments package runs with -short so the race
-# detector's ~20x slowdown doesn't blow the test timeout on the full
-# oracle+training pipeline; its artifact and concurrency tests still run.
+# inference substrate it shares models with, the simulation/workload/
+# scenario/experiment layers, continual learning, the journal and testkit.
+# The experiments package runs with -short so the race detector's ~20x
+# slowdown doesn't blow the test timeout on the full oracle+training
+# pipeline; its artifact and concurrency tests still run.
 race:
 	$(GO) test -race ./internal/serve/... ./internal/cluster/... ./internal/npu/... \
 		./internal/nn/... ./internal/workload/... ./internal/sim/... ./internal/telemetry/... \
-		./internal/conformance/...
+		./internal/conformance/... ./internal/scenario/... ./internal/online/... \
+		./internal/journal/... ./internal/testkit/...
 	$(GO) test -race -short ./internal/experiments/...
 
 # Coverage gate: statement coverage of the serving, simulation, telemetry
@@ -70,13 +72,3 @@ cluster-smoke:
 # docs/ONLINE.md.
 online-smoke:
 	./scripts/check.sh online-smoke
-
-# Measure the experiment executor's parallel speedup (sequential vs -j N
-# wall-clock over the multi-cell figures) into BENCH_experiments.json.
-bench:
-	$(GO) run ./scripts/benchexp -out BENCH_experiments.json
-
-# Measure the serving stack's horizontal scaling (1 vs 4 device-paced
-# replicas behind the router, closed-loop /v1/infer) into BENCH_serve.json.
-bench-serve:
-	$(GO) run ./scripts/benchserve -out BENCH_serve.json

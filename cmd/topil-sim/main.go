@@ -2,8 +2,9 @@
 // and reports the outcome: temperature, QoS violations, CPU-time breakdown
 // and migrations.
 //
-// Techniques: TOP-IL (requires -model from topil-train, or trains a quick
-// one on the fly), TOP-RL (optionally -qtable), GTS/ondemand, GTS/powersave.
+// Techniques are the registered policies (internal/scenario): TOP-IL
+// (-model from topil-train, or trains a quick one on the fly), TOP-RL
+// (optionally -qtable) and the GTS governors.
 //
 //	topil-sim -technique TOP-IL -model artifacts/model-1.json -jobs 12 -rate 0.1
 //
@@ -17,12 +18,13 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/features"
-	"repro/internal/npu"
 	"repro/internal/rl"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -39,7 +41,7 @@ func main() {
 
 func run() error {
 	var (
-		technique = flag.String("technique", "TOP-IL", "TOP-IL | TOP-RL | GTS/ondemand | GTS/powersave")
+		technique = flag.String("technique", "TOP-IL", strings.Join(scenario.PolicyNames(), " | "))
 		modelPath = flag.String("model", "", "trained IL model JSON (TOP-IL)")
 		qtPath    = flag.String("qtable", "", "pretrained Q-table (TOP-RL)")
 		jobs      = flag.Int("jobs", 12, "number of applications")
@@ -65,13 +67,25 @@ func run() error {
 	p := experiments.NewPipeline(experiments.QuickScale())
 	p.Progress = func(msg string) { log.Print(msg) }
 
-	mgr, err := buildManager(p, *technique, *modelPath, *qtPath, *seed)
+	mgr, err := newManager(p, *technique, *modelPath, *qtPath, *seed)
 	if err != nil {
 		return err
 	}
 
-	cfg := sim.DefaultConfig(*fan, 25)
-	cfg.Seed = *seed
+	spec := scenario.Spec{Fan: fan, Seed: *seed, Duration: *dur,
+		NumJobs: *jobs, Rate: *rate, InstrScale: *instr}
+	if *loadJobs != "" {
+		loaded, err := workload.LoadJobs(*loadJobs)
+		if err != nil {
+			return err
+		}
+		log.Printf("loaded %d jobs from %s", len(loaded), *loadJobs)
+		spec.Jobs = workload.JobsToEntries(loaded)
+	}
+	cfg, jobList, err := spec.Build()
+	if err != nil {
+		return err
+	}
 	var reg *telemetry.Registry
 	if *metrics != "" {
 		reg = telemetry.NewRegistry()
@@ -85,17 +99,6 @@ func run() error {
 		cfg.Tracer = traces.Tracer("sim")
 	}
 	e := sim.New(cfg)
-	var jobList []workload.Job
-	if *loadJobs != "" {
-		jobList, err = workload.LoadJobs(*loadJobs)
-		if err != nil {
-			return err
-		}
-		log.Printf("loaded %d jobs from %s", len(jobList), *loadJobs)
-	} else {
-		gen := workload.NewGenerator(*seed, workload.MixedPool(), p.PeakIPS, 0.2, 0.7, *instr)
-		jobList = gen.Generate(*jobs, *rate)
-	}
 	if *saveJobs != "" {
 		if err := workload.SaveJobs(jobList, *saveJobs); err != nil {
 			return err
@@ -190,32 +193,39 @@ func writeMetrics(reg *telemetry.Registry, path string) error {
 	return nil
 }
 
-// buildManager assembles the requested technique, loading artifacts when
-// provided and falling back to the quick pipeline otherwise.
-func buildManager(p *experiments.Pipeline, technique, modelPath, qtPath string,
+// newManager builds the requested technique from the artifacts given on
+// the command line, falling back to the quick pipeline's for a missing
+// -model or -qtable.
+func newManager(p *experiments.Pipeline, technique, modelPath, qtPath string,
 	seed int64) (sim.Manager, error) {
-	switch technique {
-	case "TOP-IL":
+	pol, err := scenario.LookupPolicy(technique)
+	if err != nil {
+		return nil, err
+	}
+	res := scenario.Resources{Seed: seed}
+	if pol.NeedsModel {
 		if modelPath == "" {
 			log.Print("no -model given: training a quick-scale model")
-			return p.Manager(technique, 0)
-		}
-		m, err := core.LoadModel(modelPath, features.Dim(8, 2), 8)
-		if err != nil {
+			models, err := p.Models()
+			if err != nil {
+				return nil, err
+			}
+			res.Model = models[0]
+		} else if res.Model, err = core.LoadModel(modelPath, features.Dim(8, 2), 8); err != nil {
 			return nil, err
 		}
-		return core.New(npu.New(m), core.DefaultConfig()), nil
-	case "TOP-RL":
+	}
+	if pol.NeedsQTable {
 		if qtPath == "" {
 			log.Print("no -qtable given: pretraining a quick-scale policy")
-			return p.Manager(technique, 0)
-		}
-		table, err := rl.LoadQTable(qtPath)
-		if err != nil {
+			tables, err := p.QTables()
+			if err != nil {
+				return nil, err
+			}
+			res.QTable, res.Seed = tables[0], p.Scale.Seeds[0]
+		} else if res.QTable, err = rl.LoadQTable(qtPath); err != nil {
 			return nil, err
 		}
-		return rl.New(table, rl.DefaultParams(), seed), nil
-	default:
-		return p.Manager(technique, 0)
 	}
+	return pol.New(res)
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/nn"
 	"repro/internal/npu"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
@@ -28,7 +29,11 @@ func main() {
 	// The paper's deployed topology: 21 features -> 4×64 hidden -> 8 cores.
 	model := nn.NewMLP(nn.PaperTopology(features.Dim(8, 2), 8), 42)
 	accel := npu.New(model)
-	cpu := npu.NewCPU(model)
+	cpuDev, err := scenario.LookupBackend("cpu")
+	if err != nil {
+		log.Fatal(err)
+	}
+	cpu := cpuDev.New(model)
 
 	// The NPU-deployed model must match the host model bit for bit.
 	rng := rand.New(rand.NewSource(1))

@@ -15,7 +15,7 @@ import (
 // explicitly seeded *rand.Rand handed in by the caller.
 var DeterministicPackages = []string{
 	"sim", "nn", "oracle", "rl", "workload", "thermal", "power",
-	"platform", "governor", "features", "core", "testkit", "online",
+	"platform", "governor", "features", "core", "testkit", "online", "scenario",
 }
 
 // DetrandExemptFiles are the designated clock-boundary files inside

@@ -443,7 +443,7 @@ func (rt *Router) health() RouterHealth {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.health())
+	serve.WriteJSON(w, http.StatusOK, rt.health())
 }
 
 func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
@@ -454,7 +454,7 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	for _, name := range rt.order {
 		out.Replicas = append(out.Replicas, rt.reps[name].status())
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
@@ -467,7 +467,7 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 		Inputs [][]float64 `json:"inputs"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad request body: %w", err))
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad request body: %w", err))
 		return
 	}
 	rt.forward(w, r, inferShardKey(req.Model, req.Inputs), body, forwardOpts{shed: true})
@@ -537,7 +537,7 @@ func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 	for _, res := range results {
 		merged = append(merged, res.jobs...)
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"jobs": merged})
+	serve.WriteJSON(w, http.StatusOK, map[string]interface{}{"jobs": merged})
 }
 
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -560,13 +560,13 @@ func (rt *Router) handleDrainReplica(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	st, ok := rt.reps[name]
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("cluster: no replica %q", name))
+		serve.WriteError(w, http.StatusNotFound, fmt.Errorf("cluster: no replica %q", name))
 		return
 	}
 	resp, err := rt.do(r, st, http.MethodPost, "/v1/drain", nil, nil)
 	if err != nil {
 		st.setDown()
-		writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: draining %s: %w", name, err))
+		serve.WriteError(w, http.StatusBadGateway, fmt.Errorf("cluster: draining %s: %w", name, err))
 		return
 	}
 	copyResponse(w, resp)
@@ -632,7 +632,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		}
 		rt.shed.With(r.Method + " " + r.URL.Path).Inc()
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfter))
-		writeError(w, http.StatusTooManyRequests,
+		serve.WriteError(w, http.StatusTooManyRequests,
 			fmt.Errorf("cluster: all %d replicas saturated", len(chain)))
 		return
 	}
@@ -671,7 +671,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		return
 	}
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable,
+	serve.WriteError(w, http.StatusServiceUnavailable,
 		fmt.Errorf("cluster: no replica reachable for key %q", key))
 }
 
@@ -753,22 +753,10 @@ func copyResponse(w http.ResponseWriter, resp *bufferedResp) {
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxForwardBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading body: %w", err))
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading body: %w", err))
 		return nil, false
 	}
 	return data, true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 func maxInt(a, b int) int {

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -47,8 +48,8 @@ type Scenario struct {
 	// AmbientC is the ambient temperature in °C (default 25).
 	AmbientC float64 `json:"ambientC,omitempty"`
 	// ThermalKernel selects the integration kernel: "" or "propagator"
-	// (the default precomputed kernel), "float32" (the reduced-precision
-	// variant), or "reference" (the naive Euler stepper).
+	// (the default precomputed kernel), or "reference" (the naive Euler
+	// stepper).
 	ThermalKernel string `json:"thermalKernel,omitempty"`
 
 	// Seed drives workload generation and simulator noise (default 1).
@@ -67,7 +68,7 @@ type Scenario struct {
 	// InstrScale scales application lengths (default 0.1).
 	InstrScale float64 `json:"instrScale,omitempty"`
 
-	// Techniques lists the policies to run (see TechniqueNames).
+	// Techniques lists the policies to run (see scenario.PolicyNames).
 	Techniques []string `json:"techniques"`
 	// Backends lists the inference backends for techniques that infer
 	// (TOP-IL): "npu", "cpu", "fp16". Default ["npu"]. Techniques
@@ -107,16 +108,6 @@ type Package struct {
 // File returns the package's manifest path.
 func (p *Package) File() string { return filepath.Join(p.Dir, "manifest.json") }
 
-// TechniqueNames lists the policies a scenario may run.
-func TechniqueNames() []string {
-	return []string{"TOP-IL", "TOP-RL", "GTS/ondemand", "GTS/powersave", "GTS/performance"}
-}
-
-// BackendNames lists the inference backends a scenario may select: the
-// modelled NPU, the CPU fallback (the paper's no-accelerator ablation),
-// and the fp16-quantized model on the NPU.
-func BackendNames() []string { return []string{"npu", "cpu", "fp16"} }
-
 // MetricNames lists the envelope metrics, sorted.
 func MetricNames() []string {
 	names := make([]string, 0, len(metricDoc))
@@ -137,35 +128,20 @@ var metricDoc = map[string]string{
 	"throttleSec":   "seconds with DTM throttling active",
 }
 
-// kernelNames are the accepted thermalKernel spellings.
-var kernelNames = map[string]bool{
-	"": true, "propagator": true, "float32": true, "reference": true,
+// Spec converts the scenario to the shared scenario spec.
+func (s Scenario) Spec() scenario.Spec {
+	return scenario.Spec{Fan: s.Fan, AmbientC: s.AmbientC, Seed: s.Seed,
+		Duration: s.DurationSec, Jobs: s.Jobs, NumJobs: s.NumJobs, Rate: s.Rate,
+		InstrScale: s.InstrScale, ThermalKernel: s.ThermalKernel}
 }
 
-// fan reports the scenario's cooling setting with its default applied.
-func (s *Scenario) fan() bool { return s.Fan == nil || *s.Fan }
-
-// withDefaults fills unset scenario fields (mirroring POST /v1/sim).
-func (s Scenario) withDefaults() Scenario {
-	if s.AmbientC == 0 {
-		s.AmbientC = 25
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
-	if s.NumJobs == 0 {
-		s.NumJobs = 8
-	}
-	if s.Rate == 0 {
-		s.Rate = 0.1
-	}
-	if s.InstrScale == 0 {
-		s.InstrScale = 0.1
-	}
+// backends returns the scenario's backends with the default ["npu"]
+// applied.
+func (s Scenario) backends() []string {
 	if len(s.Backends) == 0 {
-		s.Backends = []string{"npu"}
+		return []string{"npu"}
 	}
-	return s
+	return s.Backends
 }
 
 // Diag is one manifest diagnostic, anchored at a file position.
@@ -310,8 +286,6 @@ func validateManifest(file string, m *Manifest, offsets map[string]int64, lines 
 		}
 	}
 
-	techniques := toSet(TechniqueNames())
-	backends := toSet(BackendNames())
 	seen := map[string]bool{}
 	for si := range m.Scenarios {
 		sc := &m.Scenarios[si]
@@ -322,32 +296,18 @@ func validateManifest(file string, m *Manifest, offsets map[string]int64, lines 
 			add(path, "duplicate scenario name %q", sc.Name)
 		}
 		seen[sc.Name] = true
-		if sc.DurationSec <= 0 || sc.DurationSec > 24*3600 {
-			add(path, "durationSec %g out of range (0, 86400]", sc.DurationSec)
-		}
-		if !kernelNames[sc.ThermalKernel] {
-			add(path, "unknown thermalKernel %q (\"\", propagator, float32, reference)", sc.ThermalKernel)
-		}
-		if sc.AmbientC < -50 || sc.AmbientC > 100 {
-			add(path, "ambientC %g implausible", sc.AmbientC)
-		}
-		if len(sc.Jobs) == 0 {
-			if sc.NumJobs < 0 || sc.NumJobs > 1024 {
-				add(path, "numJobs %d out of range [0, 1024]", sc.NumJobs)
-			}
-			if sc.Rate < 0 || sc.InstrScale < 0 {
-				add(path, "negative rate or instrScale")
-			}
-		} else if _, err := workload.EntriesToJobs(sc.Jobs); err != nil {
-			add(path, "jobs manifest: %v", err)
+		if sc.DurationSec == 0 {
+			add(path, "durationSec is required")
+		} else if err := sc.Spec().Validate(); err != nil {
+			add(path, "%v", err)
 		}
 		if len(sc.Techniques) == 0 {
 			add(path, "scenario lists no techniques")
 		}
 		scTechniques := map[string]bool{}
 		for _, tech := range sc.Techniques {
-			if !techniques[tech] {
-				add(path, "unknown technique %q (have %s)", tech, strings.Join(TechniqueNames(), ", "))
+			if _, err := scenario.LookupPolicy(tech); err != nil {
+				add(path, "unknown technique %q (have %s)", tech, strings.Join(scenario.PolicyNames(), ", "))
 			}
 			if scTechniques[tech] {
 				add(path, "duplicate technique %q", tech)
@@ -355,14 +315,11 @@ func validateManifest(file string, m *Manifest, offsets map[string]int64, lines 
 			scTechniques[tech] = true
 		}
 		scBackends := map[string]bool{"*": true, "-": true}
-		for _, b := range sc.Backends {
-			if !backends[b] {
-				add(path, "unknown backend %q (have %s)", b, strings.Join(BackendNames(), ", "))
+		for _, b := range sc.backends() {
+			if _, err := scenario.LookupBackend(b); err != nil {
+				add(path, "unknown backend %q (have %s)", b, strings.Join(scenario.BackendNames(), ", "))
 			}
 			scBackends[b] = true
-		}
-		if len(sc.Backends) == 0 {
-			scBackends["npu"] = true // the default backend is addressable
 		}
 		for ei := range sc.Envelopes {
 			env := &sc.Envelopes[ei]

@@ -40,12 +40,12 @@ func TestParseManifestAcceptsGood(t *testing.T) {
 	if m.Name != "demo" || len(m.Scenarios) != 1 {
 		t.Fatalf("decoded manifest %+v", m)
 	}
-	sc := m.Scenarios[0].withDefaults()
-	if sc.Seed != 1 || sc.NumJobs != 8 || len(sc.Backends) != 1 || sc.Backends[0] != "npu" {
-		t.Fatalf("withDefaults = %+v", sc)
+	sc := m.Scenarios[0]
+	if b := sc.backends(); len(b) != 1 || b[0] != "npu" {
+		t.Fatalf("default backends = %v", b)
 	}
-	if !sc.fan() {
-		t.Fatal("fan should default to true")
+	if err := sc.Spec().Validate(); err != nil {
+		t.Fatalf("scenario spec rejected: %v", err)
 	}
 }
 
@@ -109,19 +109,19 @@ func TestParseManifestNegativePaths(t *testing.T) {
 			name: "bad-duration",
 			old:  `"durationSec": 10`,
 			doc:  `"durationSec": -3`,
-			want: []string{"scenarios[0]", "durationSec -3 out of range"},
+			want: []string{"scenarios[0]", "duration -3 s out of range"},
 		},
 		{
 			name: "bad-kernel",
 			old:  `"durationSec": 10,`,
 			doc:  `"durationSec": 10, "thermalKernel": "warp",`,
-			want: []string{`unknown thermalKernel "warp"`},
+			want: []string{`unknown thermal kernel "warp"`},
 		},
 		{
 			name: "bad-ambient",
 			old:  `"durationSec": 10,`,
 			doc:  `"durationSec": 10, "ambientC": 400,`,
-			want: []string{"ambientC 400 implausible"},
+			want: []string{"ambient 400 °C implausible"},
 		},
 		{
 			name: "unknown-technique",
@@ -328,12 +328,6 @@ func TestLoadPackageAndDir(t *testing.T) {
 }
 
 func TestNameCatalogs(t *testing.T) {
-	if got := TechniqueNames(); len(got) != 5 || got[0] != "TOP-IL" {
-		t.Fatalf("TechniqueNames = %v", got)
-	}
-	if got := BackendNames(); len(got) != 3 {
-		t.Fatalf("BackendNames = %v", got)
-	}
 	metrics := MetricNames()
 	if len(metrics) != len(metricDoc) {
 		t.Fatalf("MetricNames = %v", metrics)

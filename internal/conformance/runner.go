@@ -5,16 +5,15 @@ import (
 	"fmt"
 
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/thermal"
-	"repro/internal/workload"
 )
 
 // cell is one (package, scenario, technique, backend) simulation to run.
 type cell struct {
-	pkg, scenario      int // indexes into the package/scenario lists
-	technique, backend string
-	sc                 Scenario // scenario with defaults applied
+	pkg, scenario      int    // indexes into the package/scenario lists
+	technique, backend string // backend "-" marks a technique without inference
+	sc                 Scenario
 }
 
 // Run executes the packages' scenarios on the pipeline's run matrix and,
@@ -31,15 +30,18 @@ func Run(ctx context.Context, p *experiments.Pipeline, pkgs []*Package, api *API
 	needIL, needRL := false, false
 	for pi, pkg := range pkgs {
 		for si, sc := range pkg.Manifest.Scenarios {
-			sc = sc.withDefaults()
 			for _, tech := range sc.Techniques {
-				switch tech {
-				case "TOP-IL":
-					needIL = true
-				case "TOP-RL":
-					needRL = true
+				pol, err := scenario.LookupPolicy(tech)
+				if err != nil {
+					return nil, fmt.Errorf("conformance: %w", err)
 				}
-				for _, backend := range cellBackends(tech, sc.Backends) {
+				needIL = needIL || pol.NeedsModel
+				needRL = needRL || pol.NeedsQTable
+				backends := []string{"-"}
+				if pol.NeedsModel {
+					backends = sc.backends()
+				}
+				for _, backend := range backends {
 					cells = append(cells, cell{pkg: pi, scenario: si,
 						technique: tech, backend: backend, sc: sc})
 				}
@@ -67,7 +69,20 @@ func Run(ctx context.Context, p *experiments.Pipeline, pkgs []*Package, api *API
 			c.sc.Name, c.technique, c.backend)
 		specs[i] = experiments.RunSpec[map[string]float64]{
 			Tag: tag,
-			Run: func() (map[string]float64, error) { return runCell(p, c) },
+			// A cell stops at the duration cap or once every job finished.
+			Run: func() (map[string]float64, error) {
+				mgr, err := p.ManagerOn(c.technique, 0, c.backend)
+				if err != nil {
+					return nil, err
+				}
+				cfg, jobs, err := c.sc.Spec().Build()
+				if err != nil {
+					return nil, err
+				}
+				e := sim.New(cfg)
+				e.AddJobs(jobs)
+				return metricsOf(e.RunUntil(mgr, c.sc.DurationSec, e.Done)), nil
+			},
 		}
 	}
 	results, err := experiments.RunMatrix(p, "conformance", specs)
@@ -123,55 +138,6 @@ func Run(ctx context.Context, p *experiments.Pipeline, pkgs []*Package, api *API
 		report.Packages = append(report.Packages, pr)
 	}
 	return report, nil
-}
-
-// cellBackends resolves the backends one technique runs on: only TOP-IL
-// has an inference step; everything else runs once as "-".
-func cellBackends(technique string, backends []string) []string {
-	if technique == "TOP-IL" {
-		return backends
-	}
-	return []string{"-"}
-}
-
-// runCell executes one simulation cell and reduces it to the metric map.
-func runCell(p *experiments.Pipeline, c cell) (map[string]float64, error) {
-	mgr, err := p.ManagerOn(c.technique, 0, cellManagerBackend(c))
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.DefaultConfig(c.sc.fan(), c.sc.AmbientC)
-	cfg.Seed = c.sc.Seed
-	switch c.sc.ThermalKernel {
-	case "float32":
-		cfg.ThermalKernel = thermal.KernelFloat32
-	case "reference":
-		cfg.ThermalKernel = thermal.KernelReference
-	}
-	e := sim.New(cfg)
-	var jobs []workload.Job
-	if len(c.sc.Jobs) > 0 {
-		jobs, err = workload.EntriesToJobs(c.sc.Jobs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		gen := workload.NewGenerator(c.sc.Seed, workload.MixedPool(), p.PeakIPS,
-			0.2, 0.7, c.sc.InstrScale)
-		jobs = gen.Generate(c.sc.NumJobs, c.sc.Rate)
-	}
-	e.AddJobs(jobs)
-	r := e.RunUntil(mgr, c.sc.DurationSec, e.Done)
-	return metricsOf(r), nil
-}
-
-// cellManagerBackend maps the report-level backend label to ManagerOn's
-// argument ("-" marks a technique without an inference step).
-func cellManagerBackend(c cell) string {
-	if c.technique == "TOP-IL" {
-		return c.backend
-	}
-	return "-"
 }
 
 // metricsOf reduces a sim result to the envelope metric map (see

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/npu"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -52,24 +51,19 @@ func (r *Fig12Result) Render() string {
 // Fig12Overhead measures TOP-IL's management overhead at different system
 // loads, with both the NPU and a CPU inference backend.
 func (p *Pipeline) Fig12Overhead() (*Fig12Result, error) {
-	models, err := p.Models()
-	if err != nil {
+	if _, err := p.Models(); err != nil {
 		return nil, err
 	}
-	model := models[0]
 	dur := 30.0
 	if p.Scale.Name == "quick" {
 		dur = 10
 	}
 
-	run := func(trace string, apps int, useNPU bool) (core.OverheadStats, float64, error) {
-		var backend npu.Backend
-		if useNPU {
-			backend = npu.New(model)
-		} else {
-			backend = npu.NewCPU(model)
+	run := func(trace string, apps int, backend string) (core.OverheadStats, float64, error) {
+		mgr, err := p.ManagerOn("TOP-IL", 0, backend)
+		if err != nil {
+			return core.OverheadStats{}, 0, err
 		}
-		mgr := core.New(backend, core.DefaultConfig())
 		e := p.newEngine(trace, true, 0)
 		spec, ok := workload.ByName("seidel-2d")
 		if !ok {
@@ -80,7 +74,7 @@ func (p *Pipeline) Fig12Overhead() (*Fig12Result, error) {
 			e.AddJob(workload.Job{Spec: spec, QoS: 1e8})
 		}
 		r := e.Run(mgr, dur)
-		return mgr.Stats(), r.Duration, nil
+		return mgr.(*core.TOPIL).Stats(), r.Duration, nil
 	}
 
 	// The overhead numbers come from the managers' deterministic cost
@@ -93,16 +87,12 @@ func (p *Pipeline) Fig12Overhead() (*Fig12Result, error) {
 	counts := []int{1, 2, 4, 8, 12, 16}
 	var specs []RunSpec[cell]
 	for _, apps := range counts {
-		for _, useNPU := range []bool{true, false} {
-			backend := "npu"
-			if !useNPU {
-				backend = "cpu"
-			}
+		for _, backend := range []string{"npu", "cpu"} {
 			tag := fmt.Sprintf("%dapps/%s", apps, backend)
 			specs = append(specs, RunSpec[cell]{
 				Tag: tag,
 				Run: func() (cell, error) {
-					st, d, err := run("fig12/"+tag, apps, useNPU)
+					st, d, err := run("fig12/"+tag, apps, backend)
 					return cell{st: st, d: d}, err
 				},
 			})

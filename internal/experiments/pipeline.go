@@ -15,11 +15,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/nn"
-	"repro/internal/npu"
 	"repro/internal/oracle"
 	"repro/internal/perf"
 	"repro/internal/platform"
 	"repro/internal/rl"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -303,36 +303,49 @@ func Techniques() []string {
 	return []string{"TOP-IL", "TOP-RL", "GTS/ondemand", "GTS/powersave"}
 }
 
-// cloneQTable deep-copies a table so a run's online learning does not leak
-// into other runs (the paper reloads the stored table per run).
-func cloneQTable(t *rl.QTable) *rl.QTable {
-	c := rl.NewQTable(t.NumCores)
-	for s := range t.Q {
-		copy(c.Q[s], t.Q[s])
-	}
-	return c
-}
-
 // Manager instantiates a technique for one run. seedIdx selects the model /
 // Q-table (and RNG seed for RL).
 func (p *Pipeline) Manager(technique string, seedIdx int) (sim.Manager, error) {
-	switch technique {
-	case "TOP-IL":
+	return p.ManagerOn(technique, seedIdx, "")
+}
+
+// ManagerOn instantiates a technique like Manager, additionally selecting
+// TOP-IL's inference backend (see scenario.BackendNames; "" or "-" is the
+// NPU). Techniques without an inference step accept only "" or "-": a
+// concrete device for them is a configuration error, not a silent no-op.
+// Only the artifacts the technique needs are built.
+func (p *Pipeline) ManagerOn(technique string, seedIdx int, backend string) (sim.Manager, error) {
+	pol, err := scenario.LookupPolicy(technique)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	if backend == "-" {
+		backend = ""
+	}
+	if !pol.NeedsModel && backend != "" {
+		return nil, fmt.Errorf("experiments: %s has no inference step (backend %q requested)",
+			technique, backend)
+	}
+	res := scenario.Resources{Backend: backend}
+	if pol.NeedsModel {
 		models, err := p.Models()
 		if err != nil {
 			return nil, err
 		}
-		return core.New(npu.New(models[seedIdx]), core.DefaultConfig()), nil
-	case "TOP-RL":
+		res.Model = models[seedIdx]
+	}
+	if pol.NeedsQTable {
 		tables, err := p.QTables()
 		if err != nil {
 			return nil, err
 		}
-		return rl.New(cloneQTable(tables[seedIdx]), rl.DefaultParams(),
-			p.Scale.Seeds[seedIdx]), nil
-	default:
-		return governorManager(technique)
+		res.QTable, res.Seed = tables[seedIdx], p.Scale.Seeds[seedIdx]
 	}
+	mgr, err := pol.New(res)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	return mgr, nil
 }
 
 // PeakIPS exposes the performance model's peak-IPS helper for workload

@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"repro/internal/rl"
 	"repro/internal/workload"
 )
 
@@ -36,13 +35,14 @@ func TestTechniquesOrder(t *testing.T) {
 }
 
 func TestGovernorManagerUnknown(t *testing.T) {
-	if _, err := governorManager("cpufreq/voodoo"); err == nil {
+	p := NewPipeline(QuickScale())
+	if _, err := p.Manager("cpufreq/voodoo", 0); err == nil {
 		t.Error("unknown technique accepted")
 	}
-	for _, name := range []string{"GTS/ondemand", "GTS/powersave", "GTS/performance"} {
-		m, err := governorManager(name)
+	for _, name := range []string{"GTS/ondemand", "GTS/powersave", "GTS/schedutil", "GTS/performance"} {
+		m, err := p.Manager(name, 0)
 		if err != nil || m.Name() != name {
-			t.Errorf("governorManager(%q) = %v, %v", name, m, err)
+			t.Errorf("Manager(%q) = %v, %v", name, m, err)
 		}
 	}
 }
@@ -69,14 +69,5 @@ func TestPeakIPSHelpers(t *testing.T) {
 	phased, _ := workload.ByName("dedup")
 	if m := p.littleMaxMeanIPS(phased); m >= p.LittleMaxIPS(phased) {
 		t.Errorf("phased mean %g not below best-phase max %g", m, p.LittleMaxIPS(phased))
-	}
-}
-
-func TestCloneQTableIsolation(t *testing.T) {
-	orig := rl.NewQTable(8)
-	clone := cloneQTable(orig)
-	clone.Q[0][0] = 99
-	if orig.Q[0][0] == 99 {
-		t.Error("cloneQTable shares storage")
 	}
 }

@@ -83,6 +83,16 @@ func NewQTable(numCores int) *QTable {
 	return &QTable{NumCores: numCores, Q: q}
 }
 
+// Clone deep-copies the table, so a run's online learning does not leak
+// into other runs.
+func (t *QTable) Clone() *QTable {
+	c := NewQTable(t.NumCores)
+	for s := range t.Q {
+		copy(c.Q[s], t.Q[s])
+	}
+	return c
+}
+
 // Entries returns the total number of table entries.
 func (t *QTable) Entries() int { return numStates * t.NumCores }
 

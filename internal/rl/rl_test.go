@@ -294,3 +294,16 @@ func TestTOPRLRejectsTriCluster(t *testing.T) {
 	})
 	e.Run(mgr, 0.1)
 }
+
+func TestQTableCloneIsolation(t *testing.T) {
+	orig := NewQTable(8)
+	orig.Q[1][2] = 5
+	clone := orig.Clone()
+	if clone.NumCores != 8 || clone.Q[1][2] != 5 {
+		t.Fatalf("clone lost contents: %d cores, Q[1][2] = %g", clone.NumCores, clone.Q[1][2])
+	}
+	clone.Q[0][0] = 99
+	if orig.Q[0][0] == 99 {
+		t.Error("Clone shares storage")
+	}
+}

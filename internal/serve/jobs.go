@@ -10,9 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
-	"repro/internal/governor"
-	"repro/internal/npu"
-	"repro/internal/perf"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -34,13 +32,14 @@ const (
 // generator parameters), a management policy and run settings. It is the
 // body of POST /v1/sim.
 type SimRequest struct {
-	// Policy selects the manager: "TOP-IL", "GTS/ondemand",
-	// "GTS/powersave", "GTS/schedutil" or "GTS/performance".
+	// Policy selects the manager (see scenario.PolicyNames). Serve holds
+	// no Q-table, so TOP-RL is rejected.
 	Policy string `json:"policy"`
 	// Model names the registry model for TOP-IL (required for TOP-IL).
 	Model string `json:"model,omitempty"`
-	// Backend selects TOP-IL's inference device: "npu" (default) or "cpu"
-	// (the paper's no-accelerator ablation).
+	// Backend selects TOP-IL's inference device: "npu" (default), "cpu"
+	// (the paper's no-accelerator ablation) or "fp16" (the fp16-quantized
+	// model on the NPU).
 	Backend string `json:"backend,omitempty"`
 
 	// Duration is the simulated time in seconds (default 60).
@@ -62,58 +61,40 @@ type SimRequest struct {
 	InstrScale float64 `json:"instrScale,omitempty"`
 }
 
-// withDefaults fills unset fields.
-func (r SimRequest) withDefaults() SimRequest {
-	if r.Duration == 0 {
-		r.Duration = 60
+// Spec converts the request to the shared scenario spec, applying the
+// endpoint's 60 s default duration.
+func (r SimRequest) Spec() scenario.Spec {
+	dur := r.Duration
+	if dur == 0 {
+		dur = 60
 	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.Backend == "" {
-		r.Backend = "npu"
-	}
-	if r.NumJobs == 0 {
-		r.NumJobs = 8
-	}
-	if r.Rate == 0 {
-		r.Rate = 0.1
-	}
-	if r.InstrScale == 0 {
-		r.InstrScale = 0.1
-	}
-	return r
+	return scenario.Spec{Fan: r.Fan, Seed: r.Seed, Duration: dur, Jobs: r.Jobs,
+		NumJobs: r.NumJobs, Rate: r.Rate, InstrScale: r.InstrScale}
 }
 
-// validate rejects requests that could not be run.
-func (r SimRequest) validate() error {
-	switch r.Policy {
-	case "TOP-IL":
+// policy resolves and checks the request against what serve can supply:
+// a registry model for policies that infer. Serve holds no Q-table, so a
+// policy that needs one is rejected.
+func (r SimRequest) policy() (scenario.Policy, error) {
+	pol, err := scenario.LookupPolicy(r.Policy)
+	if err != nil {
+		return pol, fmt.Errorf("serve: %w", err)
+	}
+	if pol.NeedsQTable {
+		return pol, fmt.Errorf("serve: policy %s needs a pretrained Q-table, which serve does not hold", pol.Name)
+	}
+	if pol.NeedsModel {
 		if r.Model == "" {
-			return fmt.Errorf("serve: policy TOP-IL requires a model name")
+			return pol, fmt.Errorf("serve: policy %s requires a model name", pol.Name)
 		}
-		if r.Backend != "npu" && r.Backend != "cpu" {
-			return fmt.Errorf("serve: unknown inference backend %q", r.Backend)
-		}
-	case "GTS/ondemand", "GTS/powersave", "GTS/schedutil", "GTS/performance":
-	default:
-		return fmt.Errorf("serve: unknown policy %q", r.Policy)
-	}
-	if r.Duration <= 0 || r.Duration > 24*3600 {
-		return fmt.Errorf("serve: duration %g s out of range (0, 86400]", r.Duration)
-	}
-	if len(r.Jobs) == 0 {
-		if r.NumJobs <= 0 || r.NumJobs > 1024 {
-			return fmt.Errorf("serve: numJobs %d out of range [1, 1024]", r.NumJobs)
-		}
-		if r.Rate <= 0 {
-			return fmt.Errorf("serve: non-positive arrival rate")
-		}
-		if r.InstrScale <= 0 {
-			return fmt.Errorf("serve: non-positive instruction scale")
+		if _, err := scenario.LookupBackend(r.Backend); err != nil {
+			return pol, fmt.Errorf("serve: %w", err)
 		}
 	}
-	return nil
+	if err := r.Spec().Validate(); err != nil {
+		return pol, fmt.Errorf("serve: %w", err)
+	}
+	return pol, nil
 }
 
 // AppResult is the per-application outcome in a SimResult.
@@ -463,19 +444,14 @@ func (r *Runner) SubmitID(id string, req SimRequest) (JobSnapshot, error) {
 			return JobSnapshot{}, err
 		}
 	}
-	req = req.withDefaults()
-	if err := req.validate(); err != nil {
+	pol, err := req.policy()
+	if err != nil {
 		return JobSnapshot{}, err
 	}
 	// Resolve the model eagerly so a bad name fails the submission, not the
 	// job minutes later.
-	if req.Policy == "TOP-IL" {
+	if pol.NeedsModel {
 		if _, err := r.reg.Model(req.Model); err != nil {
-			return JobSnapshot{}, err
-		}
-	}
-	if len(req.Jobs) > 0 {
-		if _, err := workload.EntriesToJobs(req.Jobs); err != nil {
 			return JobSnapshot{}, err
 		}
 	}
@@ -685,41 +661,17 @@ func (r *Runner) count(st JobState) {
 // execute builds and runs the simulation described by req, stopping early
 // when ctx is canceled.
 func (r *Runner) execute(ctx context.Context, req SimRequest) (*SimResult, error) {
-	fan := true
-	if req.Fan != nil {
-		fan = *req.Fan
-	}
-	cfg := sim.DefaultConfig(fan, 25)
-	cfg.Seed = req.Seed
-	engine := sim.New(cfg)
-
-	mgr, err := r.manager(req, cfg)
+	pol, err := req.policy()
 	if err != nil {
 		return nil, err
 	}
-
-	var jobs []workload.Job
-	if len(req.Jobs) > 0 {
-		jobs, err = workload.EntriesToJobs(req.Jobs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		pm := perf.Default()
-		peak := func(spec workload.AppSpec) float64 { return pm.PeakIPS(cfg.Platform, spec) }
-		gen := workload.NewGenerator(req.Seed, workload.MixedPool(), peak, 0.2, 0.7, req.InstrScale)
-		jobs = gen.Generate(req.NumJobs, req.Rate)
+	spec := req.Spec()
+	cfg, jobs, err := spec.Build()
+	if err != nil {
+		return nil, err
 	}
-	engine.AddJobs(jobs)
-
-	res := engine.RunUntil(mgr, req.Duration, func() bool { return ctx.Err() != nil })
-	return newSimResult(mgr.Name(), res), nil
-}
-
-// manager assembles the requested policy.
-func (r *Runner) manager(req SimRequest, cfg sim.Config) (sim.Manager, error) {
-	switch req.Policy {
-	case "TOP-IL":
+	res := scenario.Resources{Backend: req.Backend}
+	if pol.NeedsModel {
 		model, err := r.reg.Model(req.Model)
 		if err != nil {
 			return nil, err
@@ -730,27 +682,18 @@ func (r *Runner) manager(req SimRequest, cfg sim.Config) (sim.Manager, error) {
 			return nil, fmt.Errorf("serve: model %q is %d->%d, platform needs %d->%d",
 				req.Model, model.InputDim(), model.OutputDim(), wantIn, plat.NumCores())
 		}
-		var backend npu.Backend
-		if req.Backend == "cpu" {
-			backend = npu.NewCPU(model)
-		} else {
-			backend = npu.New(model)
-		}
-		cc := core.DefaultConfig()
+		res.Model = model
 		if fn := r.getObserve(); fn != nil {
 			name := req.Model
-			cc.Observe = func(obs core.EpochObservation) { fn(name, obs) }
+			res.Observe = func(obs core.EpochObservation) { fn(name, obs) }
 		}
-		return core.New(backend, cc), nil
-	case "GTS/ondemand":
-		return governor.NewGTS(governor.Ondemand{UpThreshold: 0.8}), nil
-	case "GTS/powersave":
-		return governor.NewGTS(governor.Powersave{}), nil
-	case "GTS/schedutil":
-		return governor.NewGTS(governor.Schedutil{}), nil
-	case "GTS/performance":
-		return governor.NewGTS(governor.Performance{}), nil
-	default:
-		return nil, fmt.Errorf("serve: unknown policy %q", req.Policy)
 	}
+	mgr, err := pol.New(res)
+	if err != nil {
+		return nil, err
+	}
+	engine := sim.New(cfg)
+	engine.AddJobs(jobs)
+	out := engine.RunUntil(mgr, spec.Duration, func() bool { return ctx.Err() != nil })
+	return newSimResult(mgr.Name(), out), nil
 }

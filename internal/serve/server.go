@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -289,7 +290,7 @@ func (s *Server) health() HealthResponse {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.health())
+	WriteJSON(w, http.StatusOK, s.health())
 }
 
 // handleDrain is the replica-side drain protocol: the first POST flips the
@@ -299,7 +300,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // observable. A router drains a replica before retiring it.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.draining.Store(true)
-	writeJSON(w, http.StatusOK, s.health())
+	WriteJSON(w, http.StatusOK, s.health())
 }
 
 // retryAfterSeconds derives the Retry-After hint from a queue's fill: an
@@ -323,19 +324,19 @@ func writeRetryError(w http.ResponseWriter, status int, err error, retryAfter in
 		retryAfter = 1
 	}
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfter))
-	writeError(w, status, err)
+	WriteError(w, status, err)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	names, err := s.reg.List()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if names == nil {
 		names = []string{}
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"models": names})
+	WriteJSON(w, http.StatusOK, map[string]interface{}{"models": names})
 }
 
 // InferRequest is the body of POST /v1/infer.
@@ -366,15 +367,15 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Model == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: missing model name"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: missing model name"))
 		return
 	}
 	if len(req.Inputs) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: empty inputs"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: empty inputs"))
 		return
 	}
 	if len(req.Inputs) > 4096 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: %d inputs exceed the 4096 limit", len(req.Inputs)))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: %d inputs exceed the 4096 limit", len(req.Inputs)))
 		return
 	}
 	if s.draining.Load() {
@@ -383,7 +384,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	b, err := s.batcherFor(req.Model)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 
@@ -422,7 +423,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 					retryAfterSeconds(b.QueueDepth(), b.QueueCap()))
 				return
 			}
-			writeError(w, statusFor(err), err)
+			WriteError(w, statusFor(err), err)
 			return
 		}
 	}
@@ -430,13 +431,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if s.online != nil && req.Model == s.online.model {
 		s.online.recordInfer(req.Inputs, resp.Outputs)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleOnline serves the continual learner's status snapshot; when the
 // learner is disabled it reports the zero status with enabled=false.
 func (s *Server) handleOnline(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.onlineStatus())
+	WriteJSON(w, http.StatusOK, s.onlineStatus())
 }
 
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
@@ -457,11 +458,11 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 				retryAfterSeconds(s.runner.QueueDepth(), s.runner.QueueCap()))
 			return
 		}
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+snap.ID)
-	writeJSON(w, http.StatusAccepted, snap)
+	WriteJSON(w, http.StatusAccepted, snap)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -469,26 +470,26 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if jobs == nil {
 		jobs = []JobSnapshot{}
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"jobs": jobs})
+	WriteJSON(w, http.StatusOK, map[string]interface{}{"jobs": jobs})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.runner.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no such job"))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no such job"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.Snapshot())
+	WriteJSON(w, http.StatusOK, j.Snapshot())
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.runner.Cancel(id) {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no such job"))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no such job"))
 		return
 	}
 	j, _ := s.runner.Get(id)
-	writeJSON(w, http.StatusOK, j.Snapshot())
+	WriteJSON(w, http.StatusOK, j.Snapshot())
 }
 
 // StatsResponse is the body of GET /v1/stats.
@@ -505,7 +506,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		batchers[name] = b.Stats()
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, StatsResponse{
+	WriteJSON(w, http.StatusOK, StatsResponse{
 		Endpoints: s.metrics.Snapshot(),
 		Batchers:  batchers,
 		Jobs:      s.runner.Stats(),
@@ -571,20 +572,32 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
 		return false
 	}
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// WriteJSON writes v as the indented JSON body of a response with the
+// given status. The body is encoded before the header goes out, so a value
+// that cannot be encoded (a non-finite number, say) becomes a 500 with an
+// error body, never a success status over an empty body.
+func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = enc.Encode(map[string]string{"error": "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// WriteError writes the typed error body {"error": "..."} with the given
+// status.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }

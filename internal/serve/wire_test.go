@@ -334,3 +334,33 @@ func TestWireFixturesCommitted(t *testing.T) {
 		t.Errorf("testdata/wire holds %v, want exactly %s.json", names, fmt.Sprint(want))
 	}
 }
+
+// TestInferUnencodableOutputIs500: inputs at 1e308 overflow the MLP to
+// non-finite outputs, which JSON cannot carry. The reply must be a counted
+// 500 with a schema-valid error body, not a 200 over an empty body.
+func TestInferUnencodableOutputIs500(t *testing.T) {
+	_, ts, m := newTestServer(t)
+	row := make([]float64, m.InputDim())
+	for i := range row {
+		row[i] = 1e308
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/infer", map[string]interface{}{
+		"model": "model-1", "inputs": [][]float64{row},
+	})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("overflowing infer: status %d, want 500\n%s", resp.StatusCode, body)
+	}
+	s, err := conformance.SchemaFor("error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := s.Validate(body); len(errs) > 0 {
+		t.Fatalf("500 body violates the error schema: %v\nbody: %s", errs, body)
+	}
+
+	var stats StatsResponse
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if ep := stats.Endpoints["POST /v1/infer"]; ep.Count != 1 || ep.Faults != 1 {
+		t.Fatalf("/v1/stats for POST /v1/infer = %+v, want the request counted as a fault", ep)
+	}
+}

@@ -77,10 +77,8 @@ type Config struct {
 
 	// ThermalKernel selects the thermal integration kernel. The zero value
 	// keeps whatever the network is configured with (the collapsed float64
-	// propagator by default); set thermal.KernelFloat32 for the reduced-
-	// precision variant (gate with the testkit tolerance diff) or
-	// thermal.KernelReference for the naive Euler stepper used as the
-	// differential-test baseline.
+	// propagator by default); set thermal.KernelReference for the naive
+	// Euler stepper used as the differential-test baseline.
 	ThermalKernel thermal.Kernel
 
 	// Telemetry optionally receives the engine's sim_* metric families.

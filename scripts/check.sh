@@ -247,18 +247,19 @@ fi
 echo "topil-lint clean (analysis ${lint_wall}s, budget ${lint_budget}s)"
 echo "== go test ./..."
 go test ./...
-echo "== go test -race (serve, cluster, npu, nn, workload, sim, telemetry)"
+echo "== go test -race (serve, cluster, npu, nn, workload, sim, telemetry, scenario, online, journal, testkit)"
 go test -race ./internal/serve/... ./internal/cluster/... ./internal/npu/... \
-    ./internal/nn/... ./internal/workload/... ./internal/sim/... ./internal/telemetry/...
+    ./internal/nn/... ./internal/workload/... ./internal/sim/... ./internal/telemetry/... \
+    ./internal/scenario/... ./internal/online/... ./internal/journal/... ./internal/testkit/...
 echo "== go test -race -short (experiments)"
 go test -race -short ./internal/experiments/...
 echo "== coverage gate"
 ./scripts/coverage_gate.sh
-echo "== bench artifact schema (BENCH_experiments.json)"
-# The committed speedup artifact must carry per-entry host parallelism
-# (num_cpu/go_max_procs/workers) and identical sequential/parallel output —
-# the contract `make bench` regenerates under. See scripts/benchexp.
-go run ./scripts/benchexp -check BENCH_experiments.json
+echo "== benchmark tests (topilbench)"
+# The benchmark is its own module: Poisson schedule purity, due-time stall
+# accounting, exact percentiles and the perturbed-golden catch. See
+# topilbench/README.md.
+go -C topilbench test ./...
 echo "== hot-path allocation gate (0 allocs/op)"
 # The //hot annotations are gated statically by topil-lint's hotalloc pass;
 # this is the dynamic counterpart on the two per-tick kernels, so an
