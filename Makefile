@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test race cover fuzz conformance serve-smoke cluster-smoke online-smoke
+.PHONY: check build vet lint test nn-shards race cover fuzz conformance serve-smoke cluster-smoke online-smoke
 
-check: build vet lint test race cover
+check: build vet lint test nn-shards race cover
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# The MLP training kernel splits each batch across GOMAXPROCS shards; the
+# trained weights must be bit-identical to the per-sample reference at any
+# worker count, the way the fig1 -j1/-j8 trace cmp gates the simulator.
+nn-shards:
+	$(GO) test -count=1 -cpu 1,2,4 -run 'TestTrainMatchesReference' ./internal/nn
 
 # Race pass over every package that runs goroutines: the serving stack, the
 # inference substrate it shares models with, the simulation/workload/

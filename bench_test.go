@@ -11,6 +11,7 @@
 package repro_test
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -332,6 +333,33 @@ func BenchmarkNNInference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.Predict(x)
+	}
+}
+
+// BenchmarkNNTrain measures one training epoch of the paper's 4×64
+// topology on 2304 rows (the quick design pipeline's training split) with
+// the default batch size.
+func BenchmarkNNTrain(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var train nn.Dataset
+	for i := 0; i < 2304; i++ {
+		x, y := make([]float64, 21), make([]float64, 8)
+		for j := range x {
+			x[j] = rng.Float64()
+		}
+		for j := range y {
+			y[j] = x[j] * x[j+8]
+		}
+		train.X = append(train.X, x)
+		train.Y = append(train.Y, y)
+	}
+	m := nn.NewMLP(nn.PaperTopology(21, 8), 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Clone().Train(train, nn.Dataset{}, nn.TrainConfig{MaxEpochs: 1, Seed: 2}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -59,8 +59,10 @@ func EvaluateModel(m *nn.MLP, test *oracle.Dataset) (ModelEval, error) {
 
 	var ev ModelEval
 	within, excessSum, feasible, infeasible := 0, 0.0, 0, 0
+	out := make([]float64, m.OutputDim())
+	scratch := make([]float64, m.ScratchLen())
 	for _, e := range test.Examples {
-		out := m.Predict(e.Features)
+		m.PredictInto(e.Features, out, scratch)
 		best, bestR := -1, math.Inf(-1)
 		for c := 0; c < numCores; c++ {
 			if e.Features[off+c] != 0 {

@@ -5,9 +5,14 @@
 // Model Creation and Training". A grid-search NAS (nas.go) selects the
 // topology (the paper finds 4 hidden layers × 64 neurons).
 //
-// Only the standard library is used; the implementation favours clarity and
-// determinism (seeded initialization) over raw speed, which is sufficient
-// for the ~20k-example datasets of this problem.
+// Only the standard library is used. Initialization is seeded, and the
+// kernels (kernel.go) are order-preserving: a forward sum is the bias plus
+// the inputs in index order, a back-propagated delta is zero plus the
+// outputs in index order, a gradient is zero plus the batch's samples in
+// batch order, and a loss is summed over samples in order. Register
+// blocking and the split of a batch across GOMAXPROCS shards never change
+// any of these orders, so a trained model is bit-identical on any core
+// count and to the per-sample reference kept in the package tests.
 package nn
 
 import (
@@ -30,12 +35,14 @@ var forwardPasses = telemetry.LazyCounter{Name: "nn_forward_passes_total",
 // MLP is a multi-layer perceptron with ReLU hidden activations and a linear
 // output layer.
 //
-// Concurrency: Predict, PredictBatch and the other read-only accessors
-// never mutate the network (forward passes allocate their own activation
-// buffers), so a trained MLP may be shared by any number of goroutines —
-// the serving layer's batcher depends on this. The guarantee holds only
-// while no goroutine concurrently mutates parameters (training, MapParams,
-// CopyFrom, UnmarshalJSON); mutate a Clone instead.
+// Concurrency: Predict, PredictBatch, PredictInto and the other read-only
+// accessors never mutate the network (a forward pass writes only to
+// buffers its caller owns: PredictInto's out and scratch, or the ones
+// Predict and PredictBatch make per call), so a trained MLP may be shared
+// by any number of goroutines — the serving layer's batcher depends on
+// this. The guarantee holds only while no goroutine concurrently mutates
+// parameters (training, MapParams, CopyFrom, UnmarshalJSON); mutate a
+// Clone instead.
 type MLP struct {
 	sizes   []int       // layer widths, including input and output
 	weights [][]float64 // weights[l][o*in+i], layer l maps sizes[l] -> sizes[l+1]
@@ -91,35 +98,130 @@ func (m *MLP) NumParams() int {
 // Predict runs a forward pass for a single input. It panics if the input
 // dimension does not match the network's input layer.
 func (m *MLP) Predict(x []float64) []float64 {
-	if len(x) != m.sizes[0] {
-		panic(fmt.Sprintf("nn: input dim %d, want %d", len(x), m.sizes[0]))
-	}
-	forwardPasses.Inc()
-	act := append([]float64(nil), x...)
-	last := len(m.weights) - 1
-	for l := range m.weights {
-		act = m.layerForward(l, act, l != last)
-	}
-	return act
+	out := make([]float64, m.OutputDim())
+	var buf [stackScratch]float64
+	m.PredictInto(x, out, m.scratch(buf[:]))
+	return out
 }
 
-// PredictBatch runs forward passes for several inputs.
+// PredictBatch runs forward passes for several inputs. The returned rows
+// share one backing array (each capped at OutputDim, so appending to one
+// cannot overwrite the next).
 func (m *MLP) PredictBatch(xs [][]float64) [][]float64 {
+	outN := m.OutputDim()
+	flat := make([]float64, len(xs)*outN)
 	out := make([][]float64, len(xs))
+	var buf [stackScratch]float64
+	scratch := m.scratch(buf[:])
 	for i, x := range xs {
-		out[i] = m.Predict(x)
+		out[i] = flat[i*outN : (i+1)*outN : (i+1)*outN]
+		m.PredictInto(x, out[i], scratch)
 	}
 	return out
 }
 
-// layerForward computes layer l's output; relu selects the activation.
-func (m *MLP) layerForward(l int, in []float64, relu bool) []float64 {
-	inN, outN := m.sizes[l], m.sizes[l+1]
-	w, b := m.weights[l], m.biases[l]
-	out := make([]float64, outN)
-	for o := 0; o < outN; o++ {
+// stackScratch is the scratch Predict and PredictBatch keep on the stack:
+// enough for hidden layers up to 128 wide.
+const stackScratch = 256
+
+// scratch returns buf if it can serve as PredictInto scratch, else a new
+// buffer of ScratchLen.
+func (m *MLP) scratch(buf []float64) []float64 {
+	if n := m.ScratchLen(); n > len(buf) {
+		return make([]float64, n)
+	}
+	return buf
+}
+
+// ScratchLen is the scratch length PredictInto needs: two buffers of the
+// widest hidden layer, which the forward pass alternates between.
+func (m *MLP) ScratchLen() int {
+	w := 0
+	for _, s := range m.sizes[1 : len(m.sizes)-1] {
+		w = max(w, s)
+	}
+	return 2 * w
+}
+
+// PredictInto runs a forward pass for x and writes the OutputDim outputs
+// to out. scratch must hold at least ScratchLen values; it is overwritten.
+// The call allocates nothing and writes only to out and scratch, so any
+// number of goroutines may share the model as long as each owns its
+// buffers. It panics on a wrong input, output or scratch length.
+//
+//hot:per-epoch-inference-path
+func (m *MLP) PredictInto(x, out, scratch []float64) {
+	if len(x) != m.sizes[0] {
+		panicDim("input", len(x), m.sizes[0])
+	}
+	if len(out) != m.OutputDim() {
+		panicDim("output", len(out), m.OutputDim())
+	}
+	half := m.ScratchLen() / 2
+	if len(scratch) < 2*half {
+		panicDim("scratch", len(scratch), 2*half)
+	}
+	forwardPasses.Inc()
+	last := len(m.weights) - 1
+	in := x
+	for l := range m.weights {
+		dst := out
+		if l != last {
+			off := (l & 1) * half
+			dst = scratch[off : off+m.sizes[l+1]]
+		}
+		layerForward(m.weights[l], m.biases[l], in, dst, l != last)
+		in = dst
+	}
+}
+
+// panicDim keeps the formatting allocation out of the //hot PredictInto.
+//
+//go:noinline
+func panicDim(what string, got, want int) {
+	panic(fmt.Sprintf("nn: %s dim %d, want %d", what, got, want))
+}
+
+// layerForward writes one dense layer's outputs for input in to out: w
+// holds len(out) rows of len(in) weights and b the biases. Each output is
+// its bias plus w[o][i]·in[i] summed in index order, then clamped at zero
+// when relu is set. Four outputs share each load of in[i]; that changes
+// no output's summation order, so the result is bit-identical to one
+// output at a time.
+func layerForward(w, b, in, out []float64, relu bool) {
+	inN := len(in)
+	o := 0
+	for ; o+4 <= len(out); o += 4 {
+		w0 := w[o*inN:][:inN]
+		w1 := w[(o+1)*inN:][:inN]
+		w2 := w[(o+2)*inN:][:inN]
+		w3 := w[(o+3)*inN:][:inN]
+		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+		for i, v := range in {
+			s0 += w0[i] * v
+			s1 += w1[i] * v
+			s2 += w2[i] * v
+			s3 += w3[i] * v
+		}
+		if relu {
+			if s0 < 0 {
+				s0 = 0
+			}
+			if s1 < 0 {
+				s1 = 0
+			}
+			if s2 < 0 {
+				s2 = 0
+			}
+			if s3 < 0 {
+				s3 = 0
+			}
+		}
+		out[o], out[o+1], out[o+2], out[o+3] = s0, s1, s2, s3
+	}
+	for ; o < len(out); o++ {
+		row := w[o*inN:][:inN]
 		sum := b[o]
-		row := w[o*inN : (o+1)*inN]
 		for i, v := range in {
 			sum += row[i] * v
 		}
@@ -128,72 +230,6 @@ func (m *MLP) layerForward(l int, in []float64, relu bool) []float64 {
 		}
 		out[o] = sum
 	}
-	return out
-}
-
-// forwardTrace runs a forward pass retaining all activations for backprop.
-// acts[0] is the input, acts[L] the output (pre-activation values are not
-// needed separately because ReLU's gradient can be derived from the
-// post-activation sign).
-func (m *MLP) forwardTrace(x []float64) [][]float64 {
-	acts := make([][]float64, len(m.sizes))
-	acts[0] = x
-	last := len(m.weights) - 1
-	for l := range m.weights {
-		acts[l+1] = m.layerForward(l, acts[l], l != last)
-	}
-	return acts
-}
-
-// backprop computes parameter gradients for one sample, accumulating into
-// gw/gb, and returns the sample's MSE loss. target must have OutputDim
-// entries.
-func (m *MLP) backprop(x, target []float64, gw, gb [][]float64) float64 {
-	acts := m.forwardTrace(x)
-	out := acts[len(acts)-1]
-	n := float64(len(out))
-	// delta = dL/d(pre-activation) at the output (linear): 2(y-t)/n.
-	delta := make([]float64, len(out))
-	loss := 0.0
-	for o := range out {
-		d := out[o] - target[o]
-		loss += d * d
-		delta[o] = 2 * d / n
-	}
-	loss /= n
-
-	for l := len(m.weights) - 1; l >= 0; l-- {
-		inN := m.sizes[l]
-		in := acts[l]
-		w := m.weights[l]
-		for o, d := range delta {
-			gb[l][o] += d
-			row := gw[l][o*inN : (o+1)*inN]
-			for i, v := range in {
-				row[i] += d * v
-			}
-		}
-		if l == 0 {
-			break
-		}
-		// Propagate delta through layer l and the ReLU of layer l-1's
-		// output (acts[l] are post-ReLU: zero entries had negative
-		// pre-activations, so their gradient is zero).
-		prev := make([]float64, inN)
-		for o, d := range delta {
-			row := w[o*inN : (o+1)*inN]
-			for i := range prev {
-				prev[i] += d * row[i]
-			}
-		}
-		for i := range prev {
-			if acts[l][i] <= 0 {
-				prev[i] = 0
-			}
-		}
-		delta = prev
-	}
-	return loss
 }
 
 // Clone returns a deep copy of the network.

@@ -60,44 +60,42 @@ func TestSeededInitDeterministic(t *testing.T) {
 	}
 }
 
-// numericalGradientCheck verifies backprop against finite differences.
+// TestBackpropGradientCheck verifies the batch kernel's gradients against
+// central finite differences of the batch-mean loss, for a batch of one
+// and a batch of five (a full 4-sample block plus a tail).
 func TestBackpropGradientCheck(t *testing.T) {
-	m := NewMLP([]int{3, 5, 2}, 3)
-	x := []float64{0.5, -1.2, 0.8}
-	y := []float64{0.3, -0.7}
-
-	gw := [][]float64{make([]float64, len(m.weights[0])), make([]float64, len(m.weights[1]))}
-	gb := [][]float64{make([]float64, len(m.biases[0])), make([]float64, len(m.biases[1]))}
-	m.backprop(x, y, gw, gb)
-
-	loss := func() float64 {
-		out := m.Predict(x)
-		s := 0.0
-		for o := range out {
-			d := out[o] - y[o]
-			s += d * d
+	full := synthDataset(5, 30)
+	for _, n := range []int{1, 5} {
+		m := NewMLP([]int{3, 5, 2}, 3)
+		d := Dataset{X: full.X[:n], Y: full.Y[:n]}
+		rows := make([]int, n)
+		for i := range rows {
+			rows[i] = i
 		}
-		return s / float64(len(out))
-	}
-	const h = 1e-6
-	check := func(param []float64, grad []float64, name string) {
-		for i := range param {
-			orig := param[i]
-			param[i] = orig + h
-			lp := loss()
-			param[i] = orig - h
-			lm := loss()
-			param[i] = orig
-			num := (lp - lm) / (2 * h)
-			if math.Abs(num-grad[i]) > 1e-4*(1+math.Abs(num)) {
-				t.Fatalf("%s[%d]: analytic %g vs numeric %g", name, i, grad[i], num)
+		ws := newWorkspace(m, n, 2)
+		ws.gradients(d, rows)
+		ws.close()
+
+		const h = 1e-6
+		check := func(param []float64, grad []float64, name string) {
+			for i := range param {
+				orig := param[i]
+				param[i] = orig + h
+				lp := m.Loss(d)
+				param[i] = orig - h
+				lm := m.Loss(d)
+				param[i] = orig
+				num := (lp - lm) / (2 * h)
+				if math.Abs(num-grad[i]) > 1e-4*(1+math.Abs(num)) {
+					t.Fatalf("batch %d: %s[%d]: analytic %g vs numeric %g", n, name, i, grad[i], num)
+				}
 			}
 		}
+		check(m.weights[0], ws.gw[0], "w0")
+		check(m.weights[1], ws.gw[1], "w1")
+		check(m.biases[0], ws.gb[0], "b0")
+		check(m.biases[1], ws.gb[1], "b1")
 	}
-	check(m.weights[0], gw[0], "w0")
-	check(m.weights[1], gw[1], "w1")
-	check(m.biases[0], gb[0], "b0")
-	check(m.biases[1], gb[1], "b1")
 }
 
 // synthDataset builds a learnable nonlinear mapping.

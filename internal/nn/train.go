@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 
 	"repro/internal/telemetry"
 )
@@ -23,7 +24,9 @@ type Dataset struct {
 // Len returns the number of examples.
 func (d Dataset) Len() int { return len(d.X) }
 
-// Validate checks shape consistency against the given dimensions.
+// Validate checks shape consistency against the given dimensions and
+// that every entry is finite: one NaN or ±Inf would poison every weight
+// it reaches.
 func (d Dataset) Validate(inDim, outDim int) error {
 	if len(d.X) != len(d.Y) {
 		return fmt.Errorf("nn: %d inputs vs %d targets", len(d.X), len(d.Y))
@@ -34,6 +37,16 @@ func (d Dataset) Validate(inDim, outDim int) error {
 		}
 		if len(d.Y[i]) != outDim {
 			return fmt.Errorf("nn: example %d: target dim %d, want %d", i, len(d.Y[i]), outDim)
+		}
+		for j, v := range d.X[i] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: example %d: input column %d is %v", i, j, v)
+			}
+		}
+		for j, v := range d.Y[i] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: example %d: target column %d is %v", i, j, v)
+			}
 		}
 	}
 	return nil
@@ -75,6 +88,28 @@ type TrainConfig struct {
 	GradClip float64
 
 	Verbose func(epoch int, trainLoss, valLoss float64)
+}
+
+// validate rejects negative or NaN hyper-parameters (0 selects the
+// default, so it is valid everywhere).
+func (c TrainConfig) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"BatchSize", c.BatchSize}, {"MaxEpochs", c.MaxEpochs}, {"Patience", c.Patience}} {
+		if f.v < 0 {
+			return fmt.Errorf("nn: TrainConfig.%s = %d, must not be negative", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"LR0", c.LR0}, {"LRDecay", c.LRDecay}, {"WeightDecay", c.WeightDecay}, {"GradClip", c.GradClip}} {
+		if f.v < 0 || math.IsNaN(f.v) {
+			return fmt.Errorf("nn: TrainConfig.%s = %v, must be a non-negative number", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // defaults fills unset fields.
@@ -152,8 +187,18 @@ func (s *adamState) apply(m *MLP, gw, gb [][]float64, lr float64) {
 }
 
 // Train fits the model on train, monitoring val for early stopping. The
-// model is left with the parameters of the best validation epoch.
+// model is left with the parameters of the best validation epoch. It
+// rejects negative or NaN hyper-parameters and non-finite data.
 func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
+	return m.train(train, val, cfg, runtime.GOMAXPROCS(0))
+}
+
+// train is Train with an explicit shard count for the batch kernel; the
+// result does not depend on it.
+func (m *MLP) train(train, val Dataset, cfg TrainConfig, shards int) (TrainResult, error) {
+	if err := cfg.validate(); err != nil {
+		return TrainResult{}, err
+	}
 	cfg = cfg.defaults()
 	if err := train.Validate(m.InputDim(), m.OutputDim()); err != nil {
 		return TrainResult{}, err
@@ -165,14 +210,10 @@ func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 		return TrainResult{}, fmt.Errorf("nn: empty training set")
 	}
 
+	ws := newWorkspace(m, min(cfg.BatchSize, max(train.Len(), val.Len())), shards)
+	defer ws.close()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	adam := newAdamState(m)
-	gw := make([][]float64, len(m.weights))
-	gb := make([][]float64, len(m.weights))
-	for l := range m.weights {
-		gw[l] = make([]float64, len(m.weights[l]))
-		gb[l] = make([]float64, len(m.biases[l]))
-	}
 
 	best := m.Clone()
 	bestVal := math.Inf(1)
@@ -191,27 +232,11 @@ func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 
 		epochLoss := 0.0
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			endIdx := start + cfg.BatchSize
-			if endIdx > len(order) {
-				endIdx = len(order)
-			}
-			for l := range gw {
-				clearSlice(gw[l])
-				clearSlice(gb[l])
-			}
-			batchLoss := 0.0
-			for _, i := range order[start:endIdx] {
-				batchLoss += m.backprop(train.X[i], train.Y[i], gw, gb)
-			}
-			n := float64(endIdx - start)
-			for l := range gw {
-				scaleSlice(gw[l], 1/n)
-				scaleSlice(gb[l], 1/n)
-			}
+			batchLoss := ws.gradients(train, order[start:min(start+cfg.BatchSize, len(order))])
 			if cfg.GradClip > 0 {
-				clipGradients(gw, gb, cfg.GradClip)
+				clipGradients(ws.gw, ws.gb, cfg.GradClip)
 			}
-			adam.apply(m, gw, gb, lr)
+			adam.apply(m, ws.gw, ws.gb, lr)
 			if cfg.WeightDecay > 0 {
 				decay := 1 - lr*cfg.WeightDecay
 				if decay < 0 {
@@ -227,7 +252,7 @@ func (m *MLP) Train(train, val Dataset, cfg TrainConfig) (TrainResult, error) {
 
 		valLoss := epochLoss
 		if val.Len() > 0 {
-			valLoss = m.Loss(val)
+			valLoss = ws.meanLoss(val)
 		}
 		res.TrainHistory = append(res.TrainHistory, epochLoss)
 		res.ValHistory = append(res.ValHistory, valLoss)
@@ -259,15 +284,12 @@ func (m *MLP) Loss(d Dataset) float64 {
 	if d.Len() == 0 {
 		return 0
 	}
+	out := make([]float64, m.OutputDim())
+	scratch := make([]float64, m.ScratchLen())
 	total := 0.0
-	for i := range d.X {
-		out := m.Predict(d.X[i])
-		s := 0.0
-		for o := range out {
-			diff := out[o] - d.Y[i][o]
-			s += diff * diff
-		}
-		total += s / float64(len(out))
+	for i, x := range d.X {
+		m.PredictInto(x, out, scratch)
+		total += sampleLoss(out, d.Y[i])
 	}
 	return total / float64(d.Len())
 }
@@ -292,12 +314,6 @@ func clipGradients(gw, gb [][]float64, maxNorm float64) {
 	for l := range gw {
 		scaleSlice(gw[l], f)
 		scaleSlice(gb[l], f)
-	}
-}
-
-func clearSlice(s []float64) {
-	for i := range s {
-		s[i] = 0
 	}
 }
 

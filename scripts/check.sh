@@ -1,6 +1,7 @@
 #!/bin/sh
-# Default verify flow: build + vet + lint + tests + race pass over the
-# concurrent packages + coverage gate + sim-time trace determinism.
+# Default verify flow: build + vet + lint + tests + the nn kernel's
+# -cpu 1,2,4 bit-identity check + race pass over the concurrent packages
+# + coverage gate + sim-time trace determinism.
 # `scripts/check.sh smoke` additionally boots topil-serve and drives one
 # infer + sim round trip over HTTP, scrapes /metrics, then drains it with
 # SIGINT. `scripts/check.sh cluster-smoke` boots three journal-backed
@@ -247,6 +248,10 @@ fi
 echo "topil-lint clean (analysis ${lint_wall}s, budget ${lint_budget}s)"
 echo "== go test ./..."
 go test ./...
+echo "== nn training kernel worker-count independence (-cpu 1,2,4)"
+# Trained weights must be bit-identical to the per-sample reference at any
+# GOMAXPROCS: the batch kernel's shards may not change a summation order.
+go test -count=1 -cpu 1,2,4 -run 'TestTrainMatchesReference' ./internal/nn
 echo "== go test -race (serve, cluster, npu, nn, workload, sim, telemetry, scenario, online, journal, testkit)"
 go test -race ./internal/serve/... ./internal/cluster/... ./internal/npu/... \
     ./internal/nn/... ./internal/workload/... ./internal/sim/... ./internal/telemetry/... \
