@@ -147,7 +147,8 @@ func run() error {
 	}
 	defer rt.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler(),
+		ReadHeaderTimeout: serve.ReadHeaderTimeout, IdleTimeout: serve.IdleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -185,7 +185,8 @@ func bootServe(ctx context.Context, p *experiments.Pipeline) (*conformance.APICo
 		os.RemoveAll(dir)
 		return nil, nil, err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(),
+		ReadHeaderTimeout: serve.ReadHeaderTimeout, IdleTimeout: serve.IdleTimeout}
 	go func() {
 		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintln(os.Stderr, "topil-validate: serve:", err)

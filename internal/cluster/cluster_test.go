@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -312,4 +313,22 @@ func mustJSON(t *testing.T, v interface{}) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestReplicaServerTimeouts: a replica's listener carries the repository's
+// connection timeouts, so a client trickling headers cannot pin it.
+func TestReplicaServerTimeouts(t *testing.T) {
+	rep, err := StartReplica(ReplicaConfig{Name: "timeouts",
+		Serve: serve.Config{ModelsDir: t.TempDir(), Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Shutdown(context.Background())
+	if rep.hs.ReadHeaderTimeout != serve.ReadHeaderTimeout || rep.hs.IdleTimeout != serve.IdleTimeout {
+		t.Fatalf("replica server timeouts = %v / %v, want %v / %v", rep.hs.ReadHeaderTimeout,
+			rep.hs.IdleTimeout, serve.ReadHeaderTimeout, serve.IdleTimeout)
+	}
+	if serve.ReadHeaderTimeout <= 0 || serve.IdleTimeout <= 0 {
+		t.Fatal("timeouts must be positive: zero disables them")
+	}
 }

@@ -2,22 +2,35 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/serve"
 )
 
-// FuzzJournalReplay hammers the journal parser with arbitrary bytes. The
-// invariants: never panic, never consume more than the input, consumed
+// journalLine renders rec in the journal line format, as journal.Log's
+// Append does.
+func journalLine(buf []byte, rec serve.JobRecord) []byte {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		panic(err)
+	}
+	return journal.EncodeLine(buf, payload)
+}
+
+// FuzzJournalReplay hammers the replay OpenJournalStore runs — the generic
+// journal.Replay with the store's validRecord check — with arbitrary
+// bytes. The invariants: never panic, never consume more than the input, consumed
 // bytes re-parse to the identical records (the parse is a prefix
 // function), and a valid record appended after the consumed prefix is
 // always recovered — i.e. truncating at `good` really does leave a
 // journal every future append composes with.
 func FuzzJournalReplay(f *testing.F) {
 	var valid []byte
-	valid, _ = appendJournalLine(valid, serve.JobRecord{ID: "a", State: serve.StateQueued,
+	valid = journalLine(valid, serve.JobRecord{ID: "a", State: serve.StateQueued,
 		Req: &serve.SimRequest{Policy: "GTS/ondemand", Duration: 1}})
-	valid, _ = appendJournalLine(valid, serve.JobRecord{ID: "a", State: serve.StateDone})
+	valid = journalLine(valid, serve.JobRecord{ID: "a", State: serve.StateDone})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-7])                                              // torn tail
 	f.Add([]byte("00000000 {\"id\":\"x\",\"state\":\"done\"}\n"))            // bad CRC
@@ -29,16 +42,16 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), []byte("ffffffff {}\n")...)) // valid then junk
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, good := ParseJournal(data)
+		recs, good := journal.Replay(data, validRecord)
 		if good < 0 || good > len(data) {
 			t.Fatalf("good = %d for %d input bytes", good, len(data))
 		}
 		for _, rec := range recs {
 			if rec.ID == "" {
-				t.Fatalf("parser admitted a record without an ID: %+v", rec)
+				t.Fatalf("replay admitted a record without an ID: %+v", rec)
 			}
 		}
-		again, againGood := ParseJournal(data[:good])
+		again, againGood := journal.Replay(data[:good], validRecord)
 		if againGood != good || len(again) != len(recs) {
 			t.Fatalf("prefix re-parse diverged: %d/%d records, %d/%d bytes",
 				len(again), len(recs), againGood, good)
@@ -50,12 +63,9 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		// The truncated journal must accept appends: parse(prefix+line)
 		// yields every prefix record plus the new one.
-		ext, err := appendJournalLine(append([]byte(nil), data[:good]...),
+		ext := journalLine(append([]byte(nil), data[:good]...),
 			serve.JobRecord{ID: "fuzz-append", State: serve.StateRunning})
-		if err != nil {
-			t.Fatal(err)
-		}
-		extRecs, extGood := ParseJournal(ext)
+		extRecs, extGood := journal.Replay(ext, validRecord)
 		if extGood != len(ext) || len(extRecs) != len(recs)+1 {
 			t.Fatalf("append after truncation lost records: %d, want %d", len(extRecs), len(recs)+1)
 		}

@@ -84,9 +84,9 @@ func StartReplica(cfg ReplicaConfig) (*LocalReplica, error) {
 		addr:  ln.Addr().String(),
 		store: store,
 		srv:   serve.NewServer(cfg.Serve),
-		hs:    &http.Server{Handler: nil},
 	}
-	r.hs.Handler = r.srv.Handler()
+	r.hs = &http.Server{Handler: r.srv.Handler(),
+		ReadHeaderTimeout: serve.ReadHeaderTimeout, IdleTimeout: serve.IdleTimeout}
 	go func() {
 		if err := r.hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("cluster: replica %s: %v", r.name, err)

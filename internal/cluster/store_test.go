@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +88,78 @@ func TestJournalGolden(t *testing.T) {
 	}
 }
 
+// TestSnapshotGolden pins the compacted snapshot bytes: the indented JSON
+// array of folded records, one per job in first-appearance order.
+func TestSnapshotGolden(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenJournalStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, rec := range []serve.JobRecord{
+		queuedRec("g-1"),
+		{ID: "g-1", State: serve.StateRunning},
+		queuedRec("g-2"),
+		{ID: "g-1", State: serve.StateDone, Result: &serve.SimResult{Technique: "GTS/ondemand", Duration: 1}},
+		{ID: "g-2", State: serve.StateFailed, Err: "boom"},
+		{ID: "g-3", State: serve.StateRunning}, // queued record lost: dropped
+	} {
+		if err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `[
+ {
+  "id": "g-1",
+  "state": "done",
+  "req": {
+   "policy": "GTS/ondemand",
+   "duration": 1,
+   "numJobs": 1,
+   "rate": 2,
+   "instrScale": 0.01
+  },
+  "result": {
+   "technique": "GTS/ondemand",
+   "duration": 1,
+   "avgTemp": 0,
+   "peakTemp": 0,
+   "violations": 0,
+   "migrations": 0,
+   "throttleSeconds": 0,
+   "overheadSeconds": 0,
+   "avgUtil": 0,
+   "peakUtil": 0,
+   "totalEnergyJ": 0,
+   "apps": null
+  }
+ },
+ {
+  "id": "g-2",
+  "state": "failed",
+  "req": {
+   "policy": "GTS/ondemand",
+   "duration": 1,
+   "numJobs": 1,
+   "rate": 2,
+   "instrScale": 0.01
+  },
+  "error": "boom"
+ }
+]`
+	if string(data) != want {
+		t.Fatalf("snapshot bytes drifted:\n got %q\nwant %q", data, want)
+	}
+}
+
 func TestJournalStoreTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := OpenJournalStore(dir)
@@ -144,20 +217,20 @@ func TestJournalStoreTornTail(t *testing.T) {
 func TestJournalStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := OpenJournalStore(dir)
-	s.SetCompactEvery(0) // manual
+	s.compactEvery = 0 // manual
 	for i := 0; i < 10; i++ {
 		id := fmt.Sprintf("job-%d", i)
 		s.Append(queuedRec(id))
 		s.Append(serve.JobRecord{ID: id, State: serve.StateDone, Result: &serve.SimResult{}})
 	}
-	if s.JournalLen() != 20 {
-		t.Fatalf("journal tail = %d", s.JournalLen())
+	if len(s.tail) != 20 {
+		t.Fatalf("journal tail = %d", len(s.tail))
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if s.JournalLen() != 0 {
-		t.Fatalf("journal not truncated after compaction: %d", s.JournalLen())
+	if len(s.tail) != 0 {
+		t.Fatalf("journal not truncated after compaction: %d", len(s.tail))
 	}
 	recs, _ := s.Replay()
 	if len(recs) != 10 {
@@ -186,13 +259,13 @@ func TestJournalStoreAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := OpenJournalStore(dir)
 	defer s.Close()
-	s.SetCompactEvery(8)
+	s.compactEvery = 8
 	for i := 0; i < 20; i++ {
 		if err := s.Append(queuedRec(fmt.Sprintf("j-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := s.JournalLen(); got >= 8 {
+	if got := len(s.tail); got >= 8 {
 		t.Fatalf("auto-compaction never fired: tail = %d", got)
 	}
 	recs, _ := s.Replay()
@@ -264,6 +337,79 @@ func TestRunnerCrashRecoveryWithJournalStore(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+}
+
+// TestJournalStoreCrashAfterSnapshotInstall crashes a compaction after the
+// snapshot is installed but before the journal is truncated: the reopened
+// store replays every record twice (folded in the snapshot, raw in the
+// journal), and that must fold to the pre-crash state with no terminal
+// job re-run.
+func TestJournalStoreCrashAfterSnapshotInstall(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenJournalStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []serve.JobRecord{
+		queuedRec("a"),
+		queuedRec("b"),
+		{ID: "a", State: serve.StateRunning},
+		queuedRec("c"),
+		{ID: "a", State: serve.StateDone, Result: &serve.SimResult{Technique: "GTS/ondemand"}},
+		{ID: "b", State: serve.StateFailed, Err: "boom"},
+		{ID: "c", State: serve.StateCanceled},
+	} {
+		if err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := s.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, journalName)
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, saved, 0o644); err != nil { // undo the truncate
+		t.Fatal(err)
+	}
+
+	s2, err := OpenJournalStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	after, err := s2.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := serve.FoldRecords(after), serve.FoldRecords(before); !reflect.DeepEqual(got, want) {
+		t.Fatalf("folded state changed across the crash:\n got %+v\nwant %+v", got, want)
+	}
+
+	r := serve.NewRunner(serve.NewRegistry(t.TempDir()), 1, 8, nil, s2)
+	for id, want := range map[string]serve.JobState{"a": serve.StateDone, "b": serve.StateFailed, "c": serve.StateCanceled} {
+		j, ok := r.Get(id)
+		if !ok {
+			t.Fatalf("job %s lost across the crash", id)
+		}
+		if st := j.State(); st != want {
+			t.Errorf("job %s = %s after recovery, want %s", id, st, want)
+		}
+	}
+	r.Shutdown(context.Background())
+	// A re-enqueued job would have journaled its run.
+	if final, _ := s2.Replay(); len(final) != len(after) {
+		t.Fatalf("recovery journaled %d new records, want 0", len(final)-len(after))
 	}
 }
 

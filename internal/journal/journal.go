@@ -1,12 +1,23 @@
-// Package journal provides the CRC-guarded append-only line format and
-// the atomic snapshot install shared by the durable stores: the cluster
-// job journal (internal/cluster.JournalStore) and the online-learning
-// sample log (internal/online.SampleLog).
+// Package journal is the repository's one durable log. A Log[T] is an
+// append-only journal of JSON records beside a JSON snapshot, and it owns
+// the whole file lifecycle: open, replay, torn-tail repair, append, sync,
+// compaction and close. It has two users, which differ only in when they
+// call Sync:
 //
-// The line format is "<crc32 hex> <payload>\n" — one payload per line,
-// checksummed so a torn or bit-flipped tail is detected on replay. The
-// snapshot install is write-temp + fsync + rename + fsync-dir, so a crash
-// mid-install leaves either the old or the new file, never a torn one.
+//   - internal/cluster.JournalStore, the replica job journal behind
+//     /v1/sim, calls Sync after every Append, so a job transition is on
+//     disk before it is observable over HTTP ("202 implies durable");
+//   - internal/online.SampleLog, the DAgger sample reservoir, calls Sync
+//     at retraining-cycle boundaries, since a per-sample fsync would
+//     throttle the simulator.
+//
+// Compact and Close fsync the journal for both.
+//
+// The journal line format is "<crc32 hex> <payload>\n" — one payload per
+// line, checksummed so a torn or bit-flipped tail is detected on replay.
+// The snapshot install is write-temp + fsync + rename + fsync-dir, so a
+// crash mid-install leaves either the old or the new file, never a torn
+// one.
 package journal
 
 import (
@@ -50,9 +61,8 @@ func DecodeLine(line []byte) (payload []byte, ok bool) {
 // payload. The first malformed line — torn (no newline), bad CRC, or one
 // fn rejects by returning false — ends the scan: everything after it is
 // untrusted, since ordering is the journal's whole point. It returns the
-// number of leading bytes consumed by accepted lines; callers truncate
-// the file to that length to clear a torn tail. It is a pure function so
-// fuzz targets can hammer it directly.
+// number of leading bytes consumed by accepted lines; Open truncates the
+// file to that length to clear a torn tail.
 func Scan(data []byte, fn func(payload []byte) bool) (good int) {
 	off := 0
 	for off < len(data) {

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/journal"
@@ -16,12 +14,12 @@ import (
 //	samples.log    one "<crc32 hex> <sample json>\n" line per Append
 //	samples.json   snapshot {"total": N, "samples": [...]}, rewritten by Compact
 //
-// The journal records every append; the retained reservoir is a pure
-// function of (seed, the journaled Seq stream), so replaying snapshot +
-// journal reconstructs the exact in-memory state. Appends are buffered —
-// Sync flushes them to disk at cycle boundaries; a torn or corrupt tail is
-// truncated to the last intact line on the next open, exactly like the
-// cluster job journal (both ride internal/journal).
+// The log is a journal.Log: every append is journaled, and the retained
+// reservoir is a pure function of (seed, the journaled Seq stream), so
+// replaying snapshot + journal reconstructs the exact in-memory state.
+// Appends are not synced one by one — Sync flushes them at cycle
+// boundaries; a torn or corrupt tail is truncated to the last intact line
+// on the next open.
 const (
 	logName      = "samples.log"
 	snapshotName = "samples.json"
@@ -30,8 +28,8 @@ const (
 // DefaultSampleCap bounds the retained reservoir.
 const DefaultSampleCap = 4096
 
-// DefaultCompactEvery is the journal length that triggers auto-compaction.
-const DefaultCompactEvery = 8192
+// defaultCompactEvery is the journal length that triggers auto-compaction.
+const defaultCompactEvery = 8192
 
 // logSnapshot is the compacted on-disk state.
 type logSnapshot struct {
@@ -45,16 +43,13 @@ type logSnapshot struct {
 // only on (seed, Seq) — no RNG state to serialize, and journal replay
 // reproduces the reservoir exactly.
 type SampleLog struct {
-	dir  string
 	cap  int
 	seed int64
 
 	mu           sync.Mutex
-	f            *os.File
-	closed       bool
-	compactEvery int
+	log          *journal.Log[Sample]
+	compactEvery int    // journal length that triggers Compact; <= 0 disables
 	total        uint64 // lifetime appends == last assigned Seq
-	snapTotal    uint64 // total as of the last compaction
 	samples      []Sample
 	tailLen      int // journal lines since the last compaction
 }
@@ -67,56 +62,22 @@ func OpenSampleLog(dir string, capacity int, seed int64) (*SampleLog, error) {
 	if capacity <= 0 {
 		capacity = DefaultSampleCap
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("online: sample log dir: %w", err)
-	}
-	l := &SampleLog{dir: dir, cap: capacity, seed: seed, compactEvery: DefaultCompactEvery}
-
-	snapPath := filepath.Join(dir, snapshotName)
-	if data, err := os.ReadFile(snapPath); err == nil {
-		var snap logSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return nil, fmt.Errorf("online: corrupt sample snapshot %s: %w", snapPath, err)
-		}
-		l.total = snap.Total
-		l.snapTotal = snap.Total
-		l.samples = snap.Samples
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("online: reading sample snapshot: %w", err)
-	}
-
-	jPath := filepath.Join(dir, logName)
-	data, err := os.ReadFile(jPath)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("online: reading sample journal: %w", err)
-	}
-	good := journal.Scan(data, func(payload []byte) bool {
-		var s Sample
-		if err := json.Unmarshal(payload, &s); err != nil {
-			return false
-		}
-		if s.Seq == 0 {
-			return false
-		}
-		// Journal lines already folded into the snapshot replay as no-ops.
-		if s.Seq <= l.snapTotal {
-			return true
-		}
-		l.applyLocked(s)
-		l.tailLen++
-		return true
-	})
-	if good < len(data) {
-		if err := os.Truncate(jPath, int64(good)); err != nil {
-			return nil, fmt.Errorf("online: truncating torn sample journal: %w", err)
-		}
-	}
-
-	f, err := os.OpenFile(jPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	var snap logSnapshot
+	log, recs, err := journal.Open(dir, logName, snapshotName, &snap,
+		func(s Sample) bool { return s.Seq != 0 })
 	if err != nil {
-		return nil, fmt.Errorf("online: opening sample journal: %w", err)
+		return nil, fmt.Errorf("online: sample log: %w", err)
 	}
-	l.f = f
+	l := &SampleLog{cap: capacity, seed: seed, log: log, compactEvery: defaultCompactEvery,
+		total: snap.Total, samples: snap.Samples}
+	for _, s := range recs {
+		// Journal lines already folded into the snapshot (a crash between
+		// snapshot install and journal truncation) replay as no-ops.
+		if s.Seq > snap.Total {
+			l.applyLocked(s)
+			l.tailLen++
+		}
+	}
 	return l, nil
 }
 
@@ -155,21 +116,14 @@ func (l *SampleLog) applyLocked(s Sample) {
 }
 
 // Append assigns the next lifetime Seq to the sample, journals it
-// (buffered — see Sync) and folds it into the reservoir. It returns the
+// (unsynced — see Sync) and folds it into the reservoir. It returns the
 // assigned Seq.
 func (l *SampleLog) Append(s Sample) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("online: sample log is closed")
-	}
 	s.Seq = l.total + 1
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return 0, fmt.Errorf("online: encoding sample: %w", err)
-	}
-	if _, err := l.f.Write(journal.EncodeLine(nil, payload)); err != nil {
-		return 0, fmt.Errorf("online: appending sample journal: %w", err)
+	if err := l.log.Append(s); err != nil {
+		return 0, fmt.Errorf("online: sample log: %w", err)
 	}
 	l.applyLocked(s)
 	l.tailLen++
@@ -180,22 +134,12 @@ func (l *SampleLog) Append(s Sample) (uint64, error) {
 	return s.Seq, nil
 }
 
-// Sync flushes buffered appends to stable storage — the cycle-boundary
+// Sync flushes appended samples to stable storage — the cycle-boundary
 // durability point (per-sample fsync would throttle the sim hot path).
 func (l *SampleLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	return l.f.Sync()
-}
-
-// SetCompactEvery adjusts the auto-compaction threshold; n <= 0 disables.
-func (l *SampleLog) SetCompactEvery(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.compactEvery = n
+	return l.log.Sync()
 }
 
 // Compact folds the journal into an atomically installed snapshot and
@@ -203,9 +147,6 @@ func (l *SampleLog) SetCompactEvery(n int) {
 func (l *SampleLog) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("online: sample log is closed")
-	}
 	return l.compactLocked()
 }
 
@@ -215,16 +156,9 @@ func (l *SampleLog) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("online: encoding sample snapshot: %w", err)
 	}
-	if err := journal.WriteFileAtomic(filepath.Join(l.dir, snapshotName), data); err != nil {
-		return fmt.Errorf("online: installing sample snapshot: %w", err)
+	if err := l.log.Compact(data); err != nil {
+		return fmt.Errorf("online: sample log: %w", err)
 	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("online: truncating sample journal: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("online: syncing truncated sample journal: %w", err)
-	}
-	l.snapTotal = l.total
 	l.tailLen = 0
 	return nil
 }
@@ -271,13 +205,5 @@ func (l *SampleLog) Since(after uint64) []Sample {
 func (l *SampleLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	if err := l.f.Sync(); err != nil {
-		l.f.Close()
-		return err
-	}
-	return l.f.Close()
+	return l.log.Close()
 }

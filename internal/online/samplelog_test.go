@@ -1,6 +1,7 @@
 package online
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -122,7 +123,7 @@ func TestSampleLogCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.SetCompactEvery(10)
+	l.compactEvery = 10
 	for i := 0; i < 25; i++ {
 		if _, err := l.Append(mkSample(i)); err != nil {
 			t.Fatal(err)
@@ -174,6 +175,54 @@ func TestSampleLogCompaction(t *testing.T) {
 	}
 }
 
+// TestSampleLogCrashAfterSnapshotInstall crashes a compaction after the
+// snapshot is installed but before the journal is truncated: every
+// journal line is already in the snapshot, so reopening must leave the
+// lifetime count, the reservoir and the next Seq exactly as they were.
+func TestSampleLogCrashAfterSnapshotInstall(t *testing.T) {
+	const capacity, seed = 8, 3
+	dir := t.TempDir()
+	l, err := OpenSampleLog(dir, capacity, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := l.Append(mkSample(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	total, before := l.Total(), l.Since(0)
+	path := filepath.Join(dir, logName)
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, saved, 0o644); err != nil { // undo the truncate
+		t.Fatal(err)
+	}
+
+	l, err = OpenSampleLog(dir, capacity, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.Total() != total {
+		t.Fatalf("total = %d after crash, want %d", l.Total(), total)
+	}
+	if got := l.Since(0); !reflect.DeepEqual(got, before) {
+		t.Fatalf("reservoir changed across the crash:\n got %v\nwant %v", got, before)
+	}
+	if seq, err := l.Append(mkSample(20)); err != nil || seq != total+1 {
+		t.Fatalf("next Append = (%d, %v), want (%d, nil)", seq, err, total+1)
+	}
+}
+
 func TestSampleLogRejectsAppendAfterClose(t *testing.T) {
 	l, err := OpenSampleLog(t.TempDir(), 4, 1)
 	if err != nil {
@@ -190,5 +239,42 @@ func TestSampleLogRejectsAppendAfterClose(t *testing.T) {
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatalf("Sync after Close: %v", err)
+	}
+}
+
+// TestSampleLogGolden pins the on-disk bytes of both files: one
+// CRC-prefixed journal line per sample, and the compact
+// {"total","samples"} snapshot Compact installs.
+func TestSampleLogGolden(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenSampleLog(dir, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append(mkSample(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := string(journal[:bytes.IndexByte(journal, '\n')+1])
+	const wantLine = "ee68d0c3 {\"seq\":1,\"origin\":\"sim\",\"aoi\":\"adi\",\"x\":[0,0],\"action\":0,\"qos\":1000000000,\"freqs\":[1800000000,2400000000]}\n"
+	if first != wantLine {
+		t.Fatalf("journal line drifted:\n got %q\nwant %q", first, wantLine)
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantSnap = `{"total":3,"samples":[{"seq":3,"origin":"sim","aoi":"adi","x":[2,4],"action":2,"qos":1000000002,"freqs":[1800000000,2400000000]},{"seq":2,"origin":"sim","aoi":"adi","x":[1,2],"action":1,"qos":1000000001,"freqs":[1800000000,2400000000]}]}`
+	if string(snap) != wantSnap {
+		t.Fatalf("snapshot bytes drifted:\n got %q\nwant %q", snap, wantSnap)
 	}
 }

@@ -274,8 +274,8 @@ func TestFoldRecordsTornJournal(t *testing.T) {
 		{ID: "b", State: StateRunning}, // queued record lost: dropped
 		{ID: "a", State: StateRunning},
 	}
-	folded := foldRecords(recs)
-	if len(folded) != 1 || folded[0].id != "a" || folded[0].state != StateRunning {
+	folded := FoldRecords(recs)
+	if len(folded) != 1 || folded[0].ID != "a" || folded[0].State != StateRunning {
 		t.Fatalf("folded = %+v", folded)
 	}
 }

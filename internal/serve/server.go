@@ -20,6 +20,17 @@ import (
 // maxBodyBytes bounds request bodies (a 1024-job manifest fits easily).
 const maxBodyBytes = 8 << 20
 
+// Connection timeouts set on the http.Server of topil-serve, topil-cluster,
+// topil-validate and every in-process cluster replica. ReadHeaderTimeout
+// stops a client that trickles its request headers from pinning a
+// connection. IdleTimeout closes keep-alive connections left idle longer
+// than net/http's default client idle timeout (90 s). Neither bounds a
+// request body or a handler, so long jobs are unaffected.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 120 * time.Second
+)
+
 // Config assembles a Server.
 type Config struct {
 	// ModelsDir is the artifacts directory holding <name>.json models.

@@ -29,21 +29,15 @@ type JobStore interface {
 	Replay() ([]JobRecord, error)
 }
 
-// recoveredJob is the folded view of one job's journal records.
-type recoveredJob struct {
-	id     string
-	state  JobState
-	req    SimRequest
-	err    string
-	result *SimResult
-}
-
-// foldRecords reduces a replayed journal to per-job final states in
-// first-appearance order. Records without a preceding queued record (the
-// queued line was lost to a torn journal) are dropped: there is no request
-// to re-execute and no client holding that ID from this incarnation.
-func foldRecords(recs []JobRecord) []recoveredJob {
-	byID := make(map[string]*recoveredJob)
+// FoldRecords reduces journal records to one per job, in first-appearance
+// order: the queued request plus the last observed state, error and
+// result. Records for a job whose queued record was lost (a torn journal)
+// are dropped: there is no request to re-execute and no client holding
+// that ID from this incarnation. Folding is idempotent, so records that
+// are already folded may be replayed again. Runner.recover folds a
+// replay with it, and the cluster journal folds its snapshot with it.
+func FoldRecords(recs []JobRecord) []JobRecord {
+	byID := make(map[string]*JobRecord)
 	var order []string
 	for _, rec := range recs {
 		j, ok := byID[rec.ID]
@@ -51,22 +45,23 @@ func foldRecords(recs []JobRecord) []recoveredJob {
 			if rec.Req == nil {
 				continue // torn journal: no request to recover
 			}
-			j = &recoveredJob{id: rec.ID, state: rec.State, req: *rec.Req}
-			byID[rec.ID] = j
+			cp := rec
+			byID[rec.ID] = &cp
 			order = append(order, rec.ID)
+			continue
 		}
-		j.state = rec.State
+		j.State = rec.State
 		if rec.Req != nil {
-			j.req = *rec.Req
+			j.Req = rec.Req
 		}
 		if rec.Err != "" {
-			j.err = rec.Err
+			j.Err = rec.Err
 		}
 		if rec.Result != nil {
-			j.result = rec.Result
+			j.Result = rec.Result
 		}
 	}
-	out := make([]recoveredJob, 0, len(order))
+	out := make([]JobRecord, 0, len(order))
 	for _, id := range order {
 		out = append(out, *byID[id])
 	}
